@@ -15,7 +15,7 @@
 use aid_bench::snapshot;
 use aid_core::{discover, Strategy};
 use aid_engine::workload::{compiled_figure8_apps, Figure8App};
-use aid_engine::{DiscoveryJob, Engine, EngineConfig};
+use aid_engine::{DiscoveryJob, EngineConfig, ShardedEngine};
 use aid_sim::SimExecutor;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
@@ -64,10 +64,13 @@ fn bench_engine_throughput(c: &mut Criterion) {
                 b.iter(|| {
                     // A fresh engine per iteration: the measurement includes
                     // pool spin-up and a cold cache, i.e. the worst case.
-                    let engine = Engine::new(EngineConfig {
-                        workers,
-                        ..EngineConfig::default()
-                    });
+                    let engine = ShardedEngine::new(
+                        EngineConfig {
+                            workers,
+                            ..EngineConfig::default()
+                        },
+                        1,
+                    );
                     let jobs: Vec<DiscoveryJob> = (0..REPEATS)
                         .flat_map(|r| {
                             apps.iter().enumerate().map(move |(i, app)| {
@@ -113,10 +116,13 @@ fn serial_pass(apps: &[Figure8App]) {
 /// One engine pass: the same sessions through a fresh 4-worker pool with a
 /// cold intervention cache.
 fn engine_pass(apps: &[Figure8App]) {
-    let engine = Engine::new(EngineConfig {
-        workers: 4,
-        ..EngineConfig::default()
-    });
+    let engine = ShardedEngine::new(
+        EngineConfig {
+            workers: 4,
+            ..EngineConfig::default()
+        },
+        1,
+    );
     let jobs: Vec<DiscoveryJob> = (0..REPEATS)
         .flat_map(|r| {
             apps.iter().enumerate().map(move |(i, app)| {

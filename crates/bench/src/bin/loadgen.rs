@@ -294,6 +294,7 @@ fn main() {
         max_connections: (2 * clients).max(256),
         ..ServeConfig::default()
     };
+    let engine_shards = config.engine_shards.max(1);
     let (server, addr) = Server::start_tcp("127.0.0.1:0", config).expect("bind loopback");
     println!(
         "Server on {addr} ({workers} workers); {clients} clients × {scenarios} sessions \
@@ -515,7 +516,7 @@ fn main() {
              \"engine_shards\":{},\"cache_hit_rate\":{:.4}}}",
             stats.peak_connections,
             stats.handler_dispatches,
-            stats.engine_shards,
+            engine_shards,
             stats.cache_hit_rate(),
         );
         aid_bench::snapshot::merge_write(
@@ -537,8 +538,7 @@ fn main() {
         // The telemetry contract the CI `obs` job pins: the wire snapshot
         // must carry per-shard engine cache counters + lease-wait
         // histograms and a live reactor dwell-time distribution.
-        let shards = stats.engine_shards.max(1);
-        for shard in 0..shards {
+        for shard in 0..engine_shards {
             for key in [
                 format!("engine.shard{shard}.cache.hits"),
                 format!("engine.shard{shard}.cache.misses"),

@@ -16,7 +16,7 @@
 use aid_bench::{arg_value, render_table};
 use aid_cases::{all_cases, analyze_case, collect_logs};
 use aid_core::Strategy;
-use aid_engine::{DiscoveryJob, Engine, EngineConfig};
+use aid_engine::{DiscoveryJob, EngineConfig, ShardedEngine};
 use aid_sim::Simulator;
 use aid_synth::{generate, SynthParams};
 use std::sync::Arc;
@@ -77,11 +77,14 @@ fn main() {
 
     let total = jobs.len();
     println!("Queuing {total} sessions on a {workers}-worker engine…\n");
-    let engine = Engine::new(EngineConfig {
-        workers,
-        max_pending: 2 * workers,
-        ..EngineConfig::default()
-    });
+    let engine = ShardedEngine::new(
+        EngineConfig {
+            workers,
+            max_pending: 2 * workers,
+            ..EngineConfig::default()
+        },
+        1,
+    );
     let start = Instant::now();
     let results = engine.run_all(jobs);
     let elapsed = start.elapsed();

@@ -15,7 +15,7 @@
 //!   sharded [`InterventionCache`] memoizes single runs; repeated probes
 //!   (TAGT's contamination re-tests) and repeated sessions over the same
 //!   program never re-execute.
-//! * **Across programs** — an [`Engine`] schedules many named
+//! * **Across programs** — a [`ShardedEngine`] schedules many named
 //!   [`DiscoveryJob`]s over one pool with bounded backpressure and reports
 //!   an [`EngineStats`] telemetry snapshot (executions run, cache hits,
 //!   wall-batch counts, per-worker utilization).
@@ -27,7 +27,7 @@
 //! serial `aid_sim::SimExecutor` exactly.
 //!
 //! ```
-//! use aid_engine::{DiscoveryJob, Engine};
+//! use aid_engine::{DiscoveryJob, ShardedEngine};
 //! use aid_core::{figure4_ground_truth, Strategy};
 //! use aid_causal::AcDag;
 //! use std::sync::Arc;
@@ -44,7 +44,7 @@
 //!     .collect();
 //! edges.extend(truth.candidates().iter().map(|&c| (c, truth.failure())));
 //! let dag = Arc::new(AcDag::from_edges(&truth.candidates(), truth.failure(), &edges));
-//! let engine = Engine::with_workers(2);
+//! let engine = ShardedEngine::with_workers(2);
 //! let results = engine.run_all(vec![
 //!     DiscoveryJob::oracle("first", Arc::clone(&dag), truth.clone(), Strategy::Aid, 7),
 //!     DiscoveryJob::oracle("second", dag, truth, Strategy::Aid, 7),
@@ -66,9 +66,8 @@ pub use executor::{
 };
 pub use pool::WorkerPool;
 pub use session::{
-    job_fingerprint, jump_hash, DiscoveryJob, Engine, EngineConfig, EngineHandle, EngineStats,
-    JobSource, Saturated, Session, SessionError, SessionErrorKind, SessionPoll, SessionResult,
-    ShardedEngine,
+    job_fingerprint, jump_hash, DiscoveryJob, EngineConfig, EngineHandle, EngineStats, JobSource,
+    Saturated, Session, SessionError, SessionErrorKind, SessionPoll, SessionResult, ShardedEngine,
 };
 
 /// The engine shares these across OS threads; pin the auto-traits at

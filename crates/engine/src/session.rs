@@ -1,7 +1,7 @@
 //! The engine: named discovery sessions scheduled over one worker pool.
 //!
-//! An [`Engine`] owns the pool, the shared intervention cache, and the
-//! telemetry counters. Cloneable [`EngineHandle`]s queue named
+//! A [`ShardedEngine`] owns the pool, the intervention-cache partitions,
+//! and the telemetry counters. Cloneable [`EngineHandle`]s queue named
 //! [`DiscoveryJob`]s; each submission returns a [`Session`] ticket whose
 //! [`Session::wait`] yields the per-session [`DiscoveryResult`].
 //! Submission applies
@@ -305,7 +305,7 @@ pub struct Saturated {
     /// The rejected job, returned intact (boxed so the error stays small
     /// on the happy path's `Result`).
     pub job: Box<DiscoveryJob>,
-    /// True when the engine is draining after [`Engine::shutdown`] (the
+    /// True when the engine is draining after [`ShardedEngine::shutdown`] (the
     /// rejection is permanent); false when `max_pending` sessions were
     /// in flight (a retry may succeed).
     pub shutting_down: bool,
@@ -430,98 +430,6 @@ impl EngineShared {
     }
 }
 
-/// The multi-session discovery engine.
-pub struct Engine {
-    shared: Arc<EngineShared>,
-    metrics: Arc<MetricsRegistry>,
-}
-
-impl Engine {
-    /// Builds an engine from the given configuration, with its own
-    /// `AID_OBS`-gated metrics registry.
-    pub fn new(config: EngineConfig) -> Self {
-        Engine::with_metrics(config, Arc::new(MetricsRegistry::from_env()))
-    }
-
-    /// Builds an engine whose telemetry registers in `metrics` (the
-    /// single tier takes the `engine.shard0` prefix; the pool registers
-    /// `engine.pool.*`). Servers pass their registry here so one snapshot
-    /// covers every tier.
-    pub fn with_metrics(config: EngineConfig, metrics: Arc<MetricsRegistry>) -> Self {
-        let pool = Arc::new(WorkerPool::with_metrics(config.workers, &metrics));
-        Engine {
-            shared: EngineShared::build(&config, pool, &metrics, 0),
-            metrics,
-        }
-    }
-
-    /// Convenience: an engine with `workers` threads and default sizing.
-    pub fn with_workers(workers: usize) -> Self {
-        Engine::new(EngineConfig {
-            workers,
-            ..EngineConfig::default()
-        })
-    }
-
-    /// The registry this engine's telemetry lives in.
-    pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics
-    }
-
-    /// A cloneable handle for submitting jobs (e.g. from server
-    /// connection-handler threads).
-    pub fn handle(&self) -> EngineHandle {
-        EngineHandle {
-            shards: vec![Arc::clone(&self.shared)],
-        }
-    }
-
-    /// Queues a named discovery job (see [`EngineHandle::submit`]).
-    pub fn submit(&self, job: DiscoveryJob) -> Session {
-        self.handle().submit(job)
-    }
-
-    /// Non-blocking submission (see [`EngineHandle::try_submit`]).
-    pub fn try_submit(&self, job: DiscoveryJob) -> Result<Session, Saturated> {
-        self.handle().try_submit(job)
-    }
-
-    /// Graceful drain: refuses every subsequent submission (both
-    /// [`EngineHandle::try_submit`], with `shutting_down = true`, and
-    /// blocking [`EngineHandle::submit`], which panics) and blocks until
-    /// every in-flight session has completed. Idempotent; callers holding
-    /// [`Session`] tickets still receive their results.
-    pub fn shutdown(&self) {
-        drain_shard(&self.shared);
-    }
-
-    /// Submits every job and waits for all of them, preserving input order.
-    pub fn run_all(&self, jobs: Vec<DiscoveryJob>) -> Vec<SessionResult> {
-        self.handle().run_all(jobs)
-    }
-
-    /// Telemetry snapshot.
-    pub fn stats(&self) -> EngineStats {
-        self.handle().stats()
-    }
-
-    /// The engine's worker pool, for co-located fan-out work (e.g. an
-    /// `aid_store` ingesting trace batches on the same threads its
-    /// discovery sessions run on, instead of spawning a second pool).
-    pub fn pool(&self) -> Arc<WorkerPool> {
-        Arc::clone(&self.shared.pool)
-    }
-}
-
-impl Drop for Engine {
-    fn drop(&mut self) {
-        // Drain before tearing down: every queued session still runs to
-        // completion (tickets held by callers keep receiving results), so
-        // dropping the engine never silently abandons work.
-        wait_idle(&self.shared);
-    }
-}
-
 /// Graceful drain of one shard: set the flag, wake blocked submitters,
 /// wait until the in-flight count reaches zero.
 fn drain_shard(shared: &Arc<EngineShared>) {
@@ -544,11 +452,10 @@ fn wait_idle(shared: &Arc<EngineShared>) {
     }
 }
 
-/// A cloneable submission handle onto one or more engine shards.
+/// A cloneable submission handle onto every shard of a [`ShardedEngine`].
 ///
-/// From [`Engine::handle`] it fronts a single shard and behaves exactly as
-/// before. From [`ShardedEngine::handle`] it routes *every job* by
-/// [`job_fingerprint`] (via [`jump_hash`]) — so a caller holding one
+/// It routes *every job* by [`job_fingerprint`] (via [`jump_hash`]) — so
+/// a caller holding one
 /// handle, including an `aid_watch::Watcher` submitting its internal
 /// re-probes, lands each recipe on the same shard any other client's
 /// identical recipe lands on.
@@ -577,7 +484,7 @@ impl EngineHandle {
     ///
     /// # Panics
     ///
-    /// Panics if the engine has been [shut down](Engine::shutdown) —
+    /// Panics if the engine has been [shut down](ShardedEngine::shutdown) —
     /// admission-controlled callers (servers, accept loops) should use
     /// [`EngineHandle::try_submit`], which reports the drain as a typed
     /// rejection instead.
@@ -604,8 +511,8 @@ impl EngineHandle {
         sessions.into_iter().map(Session::wait).collect()
     }
 
-    /// The engine's worker pool (see [`Engine::pool`]). Shards of a
-    /// [`ShardedEngine`] share one pool, so any shard's is *the* pool.
+    /// The engine's worker pool (see [`ShardedEngine::pool`]). Shards
+    /// share one pool, so any shard's is *the* pool.
     pub fn pool(&self) -> Arc<WorkerPool> {
         Arc::clone(&self.shards[0].pool)
     }
@@ -670,7 +577,7 @@ fn spawn_session_on(shared: &Arc<EngineShared>, job: DiscoveryJob) -> Session {
     shared.pool.spawn(move || {
         // Decrement `pending` even if the job panics (e.g. a malformed
         // DAG with a non-interventable predicate): a leaked count would
-        // wedge backpressure and hang Engine::drop forever.
+        // wedge backpressure and hang ShardedEngine::drop forever.
         struct PendingGuard(Arc<EngineShared>);
         impl Drop for PendingGuard {
             fn drop(&mut self) {
@@ -678,7 +585,7 @@ fn spawn_session_on(shared: &Arc<EngineShared>, job: DiscoveryJob) -> Session {
                 q.pending -= 1;
                 drop(q);
                 // notify_all, not notify_one: backpressured submitters
-                // and a draining Engine::drop wait on the same condvar,
+                // and a draining ShardedEngine::drop wait on the same condvar,
                 // and waking only one of them can strand the other.
                 self.0.capacity.notify_all();
             }
@@ -757,7 +664,8 @@ fn fold_stats(shards: &[Arc<EngineShared>]) -> EngineStats {
     stats
 }
 
-/// N engine tiers over one worker pool.
+/// The multi-session discovery engine: N engine tiers over one worker
+/// pool (one tier is the unsharded engine).
 ///
 /// Each shard owns its own [`InterventionCache`] partition, admission
 /// queue, and counters; CPU work from every shard funnels into one shared
@@ -802,6 +710,18 @@ impl ShardedEngine {
         }
     }
 
+    /// Convenience: a one-shard engine with `workers` threads and default
+    /// sizing.
+    pub fn with_workers(workers: usize) -> Self {
+        ShardedEngine::new(
+            EngineConfig {
+                workers,
+                ..EngineConfig::default()
+            },
+            1,
+        )
+    }
+
     /// The registry this engine's telemetry lives in.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
@@ -829,9 +749,16 @@ impl ShardedEngine {
         self.handle().try_submit(job)
     }
 
+    /// Submits every job and waits for all of them, preserving input order.
+    pub fn run_all(&self, jobs: Vec<DiscoveryJob>) -> Vec<SessionResult> {
+        self.handle().run_all(jobs)
+    }
+
     /// Graceful drain of every shard: refuses all subsequent submissions
-    /// and blocks until every in-flight session on every shard completed.
-    /// Idempotent.
+    /// ([`EngineHandle::try_submit`] with `shutting_down = true`; blocking
+    /// [`EngineHandle::submit`] panics) and blocks until every in-flight
+    /// session on every shard completed. Idempotent; callers holding
+    /// [`Session`] tickets still receive their results.
     pub fn shutdown(&self) {
         // Flag every shard before waiting on any: routing is per-job, so
         // a drain that waited out shard 0 before flagging shard 1 would
@@ -860,7 +787,9 @@ impl ShardedEngine {
         self.handle().route(job)
     }
 
-    /// The shared worker pool.
+    /// The shared worker pool, for co-located fan-out work (e.g. an
+    /// `aid_store` ingesting trace batches on the same threads its
+    /// discovery sessions run on, instead of spawning a second pool).
     pub fn pool(&self) -> Arc<WorkerPool> {
         Arc::clone(&self.shards[0].pool)
     }
@@ -868,6 +797,9 @@ impl ShardedEngine {
 
 impl Drop for ShardedEngine {
     fn drop(&mut self) {
+        // Drain before tearing down: every queued session still runs to
+        // completion (tickets held by callers keep receiving results), so
+        // dropping the engine never silently abandons work.
         for shard in &self.shards {
             wait_idle(shard);
         }
@@ -960,7 +892,7 @@ mod tests {
 
     #[test]
     fn sessions_come_back_named_and_correct() {
-        let engine = Engine::with_workers(2);
+        let engine = ShardedEngine::with_workers(2);
         let results = engine.run_all(vec![oracle_job("a", 0), oracle_job("b", 1)]);
         assert_eq!(results[0].name, "a");
         assert_eq!(results[1].name, "b");
@@ -975,12 +907,15 @@ mod tests {
 
     #[test]
     fn backpressure_bounds_pending_sessions() {
-        let engine = Engine::new(EngineConfig {
-            workers: 1,
-            cache_shards: 2,
-            max_pending: 2,
-            ..EngineConfig::default()
-        });
+        let engine = ShardedEngine::new(
+            EngineConfig {
+                workers: 1,
+                cache_shards: 2,
+                max_pending: 2,
+                ..EngineConfig::default()
+            },
+            1,
+        );
         let handle = engine.handle();
         let sessions: Vec<Session> = (0..12).map(|i| handle.submit(oracle_job("x", i))).collect();
         for s in sessions {
@@ -1032,12 +967,15 @@ mod tests {
         });
         let dag = Arc::new(AcDag::from_edges(&[bad], failure, &[(bad, failure)]));
 
-        let engine = Engine::new(EngineConfig {
-            workers: 1,
-            cache_shards: 2,
-            max_pending: 2,
-            ..EngineConfig::default()
-        });
+        let engine = ShardedEngine::new(
+            EngineConfig {
+                workers: 1,
+                cache_shards: 2,
+                max_pending: 2,
+                ..EngineConfig::default()
+            },
+            1,
+        );
         let doomed = engine.submit(DiscoveryJob::sim(
             "doomed",
             dag,
@@ -1116,7 +1054,7 @@ mod tests {
             &[(candidate, failure)],
         ));
 
-        let engine = Engine::with_workers(2);
+        let engine = ShardedEngine::with_workers(2);
         let doomed = engine.submit(DiscoveryJob::sim(
             "trapped",
             dag,
@@ -1189,7 +1127,7 @@ mod tests {
             &[(candidate, failure)],
         ));
 
-        let engine = Engine::with_workers(2);
+        let engine = ShardedEngine::with_workers(2);
         let job = |name: &str, backend: Backend| {
             DiscoveryJob::sim(
                 name,
@@ -1219,7 +1157,7 @@ mod tests {
     fn dropping_the_engine_drains_outstanding_sessions() {
         let kept;
         {
-            let engine = Engine::with_workers(2);
+            let engine = ShardedEngine::with_workers(2);
             kept = engine.submit(oracle_job("kept", 5));
             // A fire-and-forget session: ticket dropped immediately.
             drop(engine.submit(oracle_job("forgotten", 6)));
@@ -1237,12 +1175,15 @@ mod tests {
     /// hand the job back and count in `sessions_rejected`.
     #[test]
     fn try_submit_rejects_on_saturation_and_shutdown() {
-        let engine = Engine::new(EngineConfig {
-            workers: 1,
-            cache_shards: 2,
-            max_pending: 2,
-            ..EngineConfig::default()
-        });
+        let engine = ShardedEngine::new(
+            EngineConfig {
+                workers: 1,
+                cache_shards: 2,
+                max_pending: 2,
+                ..EngineConfig::default()
+            },
+            1,
+        );
         // Gate the only worker so admitted sessions cannot start draining.
         let (gate_tx, gate_rx) = channel::unbounded::<()>();
         engine.pool().spawn(move || {
@@ -1274,7 +1215,7 @@ mod tests {
 
     #[test]
     fn try_wait_is_nonblocking_and_delivers_once() {
-        let engine = Engine::with_workers(1);
+        let engine = ShardedEngine::with_workers(1);
         let session = engine.submit(oracle_job("polled", 4));
         // Spin until the result lands; every intermediate probe must be
         // Pending, never a panic or a block.
@@ -1378,7 +1319,7 @@ mod tests {
 
     #[test]
     fn identical_sessions_share_the_cache() {
-        let engine = Engine::with_workers(2);
+        let engine = ShardedEngine::with_workers(2);
         engine.run_all(vec![oracle_job("first", 3)]);
         let before = engine.stats();
         engine.run_all(vec![oracle_job("second", 3)]);

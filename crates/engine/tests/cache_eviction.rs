@@ -11,7 +11,7 @@
 
 use aid_causal::AcDag;
 use aid_core::{figure4_ground_truth, ExecutionRecord, GroundTruth, Strategy};
-use aid_engine::{CacheKey, DiscoveryJob, Engine, EngineConfig, InterventionCache, Leased};
+use aid_engine::{CacheKey, DiscoveryJob, EngineConfig, InterventionCache, Leased, ShardedEngine};
 use aid_predicates::PredicateId;
 use aid_util::DenseBitSet;
 use std::sync::Arc;
@@ -116,12 +116,15 @@ fn tiny_capacity_engine_stays_deterministic_and_consistent() {
 
     // A capacity far below one session's working set: almost nothing is
     // retained between sessions.
-    let engine = Engine::new(EngineConfig {
-        workers: 2,
-        cache_shards: 2,
-        cache_capacity: 4,
-        max_pending: 4,
-    });
+    let engine = ShardedEngine::new(
+        EngineConfig {
+            workers: 2,
+            cache_shards: 2,
+            cache_capacity: 4,
+            max_pending: 4,
+        },
+        1,
+    );
     let r1 = engine.run_all(vec![job("first")]).remove(0);
     let r2 = engine.run_all(vec![job("second")]).remove(0);
     let r3 = engine.run_all(vec![job("third")]).remove(0);
@@ -149,12 +152,15 @@ fn tiny_capacity_engine_stays_deterministic_and_consistent() {
     );
     // With almost no retention, the repeat sessions mostly re-execute:
     // strictly more executions than one cold session needs.
-    let reference = Engine::new(EngineConfig {
-        workers: 2,
-        cache_shards: 2,
-        cache_capacity: 1 << 20,
-        max_pending: 4,
-    });
+    let reference = ShardedEngine::new(
+        EngineConfig {
+            workers: 2,
+            cache_shards: 2,
+            cache_capacity: 1 << 20,
+            max_pending: 4,
+        },
+        1,
+    );
     let cold = reference.run_all(vec![job("cold")]).remove(0);
     assert_eq!(cold.result, r1.result);
     let full = reference.stats();

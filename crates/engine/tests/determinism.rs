@@ -13,7 +13,7 @@
 use aid_cases::{all_cases, CaseStudy};
 use aid_core::{analyze, discover, AidAnalysis, DiscoveryResult, Strategy};
 use aid_engine::workload::{compiled_figure8_apps, Figure8App};
-use aid_engine::{DiscoveryJob, Engine, EngineConfig};
+use aid_engine::{DiscoveryJob, EngineConfig, ShardedEngine};
 use aid_sim::{SimExecutor, Simulator};
 use std::sync::Arc;
 use std::time::Instant;
@@ -56,8 +56,8 @@ fn sim_job(
 
 #[test]
 fn multi_worker_equals_single_worker_on_all_six_cases() {
-    let single = Engine::with_workers(1);
-    let quad = Engine::with_workers(4);
+    let single = ShardedEngine::with_workers(1);
+    let quad = ShardedEngine::with_workers(4);
     for case in all_cases() {
         let (sim, analysis) = analyze_reduced(&case);
         let runs = test_runs(&case);
@@ -104,7 +104,7 @@ fn repeated_sessions_are_answered_from_the_cache() {
     let case = all_cases().remove(0); // Npgsql
     let (sim, analysis) = analyze_reduced(&case);
     let runs = test_runs(&case);
-    let engine = Engine::with_workers(2);
+    let engine = ShardedEngine::with_workers(2);
 
     let first = engine
         .submit(sim_job("warm", &sim, &analysis, runs, Strategy::Aid, 11))
@@ -214,10 +214,13 @@ fn four_worker_engine_beats_serial_by_2x_on_figure8_workload() {
     let serial_elapsed = serial_start.elapsed();
 
     // Engine: same sessions through a 4-worker pool + shared cache.
-    let engine = Engine::new(EngineConfig {
-        workers: 4,
-        ..EngineConfig::default()
-    });
+    let engine = ShardedEngine::new(
+        EngineConfig {
+            workers: 4,
+            ..EngineConfig::default()
+        },
+        1,
+    );
     let jobs: Vec<DiscoveryJob> = session_specs
         .iter()
         .map(|(i, name)| {

@@ -43,7 +43,7 @@
 
 use crate::gen::{BugClass, LabParams, Scenario};
 use aid_core::{analyze, discover, AidAnalysis, DiscoveryResult, Strategy};
-use aid_engine::{DiscoveryJob, Engine, EngineConfig};
+use aid_engine::{DiscoveryJob, EngineConfig, ShardedEngine};
 use aid_predicates::{ExtractionConfig, PredicateCatalog, PredicateId, PredicateKind};
 use aid_sim::{plan_for, Backend, InterventionPlan, SimExecutor, Simulator};
 use aid_store::{StoreConfig, StreamDecoder, TraceStore};
@@ -560,7 +560,7 @@ pub fn check_scenario_on(
             });
         }
     };
-    let single = Engine::with_workers(1);
+    let single = ShardedEngine::with_workers(1);
     let r1 = single
         .run_all(vec![discovery_job(
             "single",
@@ -573,10 +573,13 @@ pub fn check_scenario_on(
     parity(&r1.result, "1-worker engine", &mut report);
     drop(single);
 
-    let multi = Engine::new(EngineConfig {
-        workers: conf.workers.max(2),
-        ..EngineConfig::default()
-    });
+    let multi = ShardedEngine::new(
+        EngineConfig {
+            workers: conf.workers.max(2),
+            ..EngineConfig::default()
+        },
+        1,
+    );
     let rn = multi
         .run_all(vec![discovery_job(
             "multi",

@@ -8,9 +8,9 @@
 //! handle (back off, retry, or shed in turn).
 
 use crate::protocol::{
-    AnalysisSpec, ErrorCode, OverloadScope, ProgramSpec, Request, Response, ServerStats,
-    SessionState,
+    AnalysisSpec, ErrorCode, OverloadScope, ProgramSpec, Request, Response, SessionState,
 };
+use crate::server::ServerStats;
 use crate::transport::{DuplexStream, InProcConnector};
 use crate::wire::{self, FrameError, WireError};
 use aid_core::{DiscoveryResult, Strategy};
@@ -391,12 +391,10 @@ impl<C: Read + Write> AidClient<C> {
         }
     }
 
-    /// Fetches the server-wide telemetry snapshot.
+    /// Fetches the server-wide telemetry summary: one `Metrics` round
+    /// trip, read through [`ServerStats::from_snapshot`].
     pub fn stats(&mut self) -> Result<ServerStats, ClientError> {
-        match self.call(&Request::Stats)? {
-            Response::StatsOk(stats) => Ok(stats),
-            other => Err(unexpected("StatsOk", other)),
-        }
+        Ok(ServerStats::from_snapshot(&self.metrics()?))
     }
 
     /// Fetches the unified telemetry snapshot: every registered counter,
@@ -494,7 +492,6 @@ fn unexpected(expected: &'static str, got: Response) -> ClientError {
         Response::Overloaded { .. } => "Overloaded".to_string(),
         Response::Status { .. } => "Status".to_string(),
         Response::Progress { .. } => "Progress".to_string(),
-        Response::StatsOk(_) => "StatsOk".to_string(),
         Response::Cancelled { .. } => "Cancelled".to_string(),
         Response::Error { .. } => "Error".to_string(),
         Response::Bye => "Bye".to_string(),

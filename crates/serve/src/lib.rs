@@ -16,9 +16,10 @@
 //!   lets different clients replaying the same scenario share the
 //!   engine's intervention cache.
 //! * **Transports** ([`transport`]) — an in-process duplex pair for
-//!   deterministic tests and a thread-per-connection TCP listener for
-//!   real clients (blocking std networking; no async runtime).
-//! * **Server** ([`server`]) — one shared `aid_engine::Engine`, a
+//!   deterministic tests and a TCP listener for real clients (std
+//!   networking; no async runtime). Clients block; the server's single
+//!   reactor thread drives every connection nonblocking.
+//! * **Server** ([`server`]) — one shared `aid_engine::ShardedEngine`, a
 //!   per-connection `aid_store::TraceStore`, and two-level admission
 //!   control (per-client session bound, engine `max_pending` via the
 //!   non-blocking `try_submit`) that sheds load with a typed
@@ -66,12 +67,11 @@ pub use client::{
     Admission, AidClient, ClientError, Overload, SubmitSpec, TailReport, UploadReport, WatchSpec,
 };
 pub use protocol::{
-    AnalysisSpec, ErrorCode, OverloadScope, ProgramSpec, Request, Response, ServerStats,
-    SessionState,
+    AnalysisSpec, ErrorCode, OverloadScope, ProgramSpec, Request, Response, SessionState,
 };
-pub use server::{ServeConfig, Server, ServerHandle};
+pub use server::{ServeConfig, Server, ServerHandle, ServerStats};
 pub use transport::{
-    duplex, in_proc, Deadline, DuplexStream, EventConn, InProcConnector, InProcListener, Listener,
-    Readiness, ReadySignal, TcpTransport,
+    duplex, in_proc, DuplexStream, EventConn, InProcConnector, InProcListener, Listener, Readiness,
+    ReadySignal, TcpTransport,
 };
 pub use wire::{FrameAccum, FrameError, WireError, PROTOCOL_VERSION};

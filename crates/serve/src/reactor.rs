@@ -243,8 +243,7 @@ where
         // Drain: close everything not waiting on a handler. Streams get a
         // terminal typed error this tick — the in-flight session keeps
         // running engine-side, but the connection no longer holds the
-        // drain open. Undispatched pipelined requests are discarded, the
-        // same boundary the thread-per-connection loop closed at.
+        // drain open. Undispatched pipelined requests are discarded.
         if shutting_down {
             for conn in conns.values_mut() {
                 if let Phase::Streaming { .. } = conn.phase {
@@ -443,7 +442,7 @@ where
     L::Conn: EventConn,
 {
     loop {
-        match listener.accept_timeout(Duration::ZERO) {
+        match listener.try_accept() {
             Ok(Some(mut io)) => {
                 // CAS reservation: the slot is claimed (or refused) in one
                 // atomic step, so concurrent accept paths cannot over-admit
@@ -461,7 +460,7 @@ where
                         ),
                     }
                     .encode();
-                    // Still in blocking mode — write the refusal directly.
+                    // Not yet in event mode — write the refusal directly.
                     if wire::write_frame(&mut io, &refusal).is_ok() {
                         shared.counters.frames_out.inc();
                         shared.counters.bytes_out.add(refusal.len() as u64);

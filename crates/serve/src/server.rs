@@ -34,18 +34,19 @@
 
 use crate::protocol::{
     options_from_wire, AnalysisSpec, ErrorCode, OverloadScope, ProgramSpec, Request, Response,
-    ServerStats, SessionState,
+    SessionState,
 };
 use crate::transport::{EventConn, Listener, ReadySignal};
 use crate::wire::{self, PROTOCOL_VERSION};
 use aid_cases::all_cases;
 use aid_core::Strategy;
 use aid_engine::{DiscoveryJob, EngineConfig, EngineHandle, Session, SessionPoll, ShardedEngine};
-use aid_obs::{Counter, Gauge, Histogram, MetricsRegistry};
+use aid_obs::{Counter, Gauge, Histogram, MetricValue, MetricsRegistry, MetricsSnapshot};
 use aid_sim::Simulator;
 use aid_store::{RetentionPolicy, StoreConfig, TraceStore};
 use aid_synth::SynthParams;
 use aid_watch::{WatchConfig, Watcher};
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering::Relaxed};
 use std::sync::Arc;
@@ -121,10 +122,9 @@ impl Default for ServeConfig {
     }
 }
 
-/// Lock-free server-side counters (the non-engine half of
-/// [`ServerStats`]), held as [`aid_obs`] registry handles: the wire
-/// `Stats` reply and the `Metrics` exposition read the same cells, so
-/// the two can never disagree.
+/// Lock-free server-side counters, held as [`aid_obs`] registry handles
+/// under `serve.*`: the `Metrics` exposition carries them, and
+/// [`ServerStats::from_snapshot`] reads them back by name.
 pub(crate) struct Counters {
     pub(crate) connections: Counter,
     pub(crate) connections_refused: Counter,
@@ -297,44 +297,156 @@ impl ServerShared {
             self.config.engine.workers.max(4)
         }
     }
+}
 
-    pub(crate) fn stats(&self) -> ServerStats {
-        let c = &self.counters;
-        let e = self.engine.stats();
-        ServerStats {
-            connections: c.connections.get(),
-            connections_refused: c.connections_refused.get(),
-            active_connections: c.active_connections.get(),
-            frames_in: c.frames_in.get(),
-            frames_out: c.frames_out.get(),
-            bytes_in: c.bytes_in.get(),
-            bytes_out: c.bytes_out.get(),
-            upload_chunks: c.upload_chunks.get(),
-            traces_ingested: c.traces_ingested.get(),
-            records_quarantined: c.records_quarantined.get(),
-            sessions_accepted: c.sessions_accepted.get(),
-            rejected_client: c.rejected_client.get(),
-            rejected_engine: c.rejected_engine.get(),
-            sessions_cancelled: c.sessions_cancelled.get(),
-            sessions_delivered: c.sessions_delivered.get(),
-            sessions_lost: c.sessions_lost.get(),
-            protocol_errors: c.protocol_errors.get(),
-            executions: e.executions,
-            cache_hits: e.cache_hits,
-            cache_misses: e.cache_misses,
-            cache_entries: e.cache_entries as u64,
-            sessions_completed: e.sessions_completed,
-            peak_pending: e.peak_pending,
-            store_evicted: c.store_evicted.get(),
-            store_compactions: c.store_compactions.get(),
-            view_reprobed: c.view_reprobed.get(),
-            view_skipped: c.view_skipped.get(),
-            watches_subscribed: c.watches_subscribed.get(),
-            watch_events: c.watch_events.get(),
-            engine_shards: self.engine.shard_count() as u64,
-            peak_connections: c.peak_connections.get(),
-            handler_dispatches: c.handler_dispatches.get(),
+/// The server-wide telemetry summary: connection/frame/upload/session
+/// counters plus the engine's execution and cache counters. A typed view
+/// over a [`MetricsSnapshot`], read out of it by
+/// [`ServerStats::from_snapshot`] — in-process through
+/// [`ServerHandle::stats`], over the wire through
+/// [`crate::AidClient::stats`].
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+pub struct ServerStats {
+    /// Connections accepted since start.
+    pub connections: u64,
+    /// Connections refused at the connection cap.
+    pub connections_refused: u64,
+    /// Connections currently open.
+    pub active_connections: u64,
+    /// Request frames read.
+    pub frames_in: u64,
+    /// Response frames written.
+    pub frames_out: u64,
+    /// Payload + header bytes read.
+    pub bytes_in: u64,
+    /// Payload + header bytes written.
+    pub bytes_out: u64,
+    /// Upload chunks ingested.
+    pub upload_chunks: u64,
+    /// Complete traces ingested across all clients.
+    pub traces_ingested: u64,
+    /// Records quarantined by streaming ingestion across all clients.
+    pub records_quarantined: u64,
+    /// Sessions admitted to the engine.
+    pub sessions_accepted: u64,
+    /// Submissions refused at the per-client bound.
+    pub rejected_client: u64,
+    /// Submissions refused by engine saturation or drain.
+    pub rejected_engine: u64,
+    /// Sessions cancelled by their client.
+    pub sessions_cancelled: u64,
+    /// Results delivered to clients.
+    pub sessions_delivered: u64,
+    /// Sessions that died without a result.
+    pub sessions_lost: u64,
+    /// Malformed frames / transport violations observed.
+    pub protocol_errors: u64,
+    /// Engine: real executions performed.
+    pub executions: u64,
+    /// Engine: intervention-cache hits.
+    pub cache_hits: u64,
+    /// Engine: intervention-cache misses.
+    pub cache_misses: u64,
+    /// Engine: sessions completed.
+    pub sessions_completed: u64,
+    /// Engine: highest simultaneously-pending session count observed on
+    /// any one shard.
+    pub peak_pending: u64,
+    /// Stores: traces evicted by windowed retention, across connections.
+    pub store_evicted: u64,
+    /// Stores: shard compaction passes that evicted at least one trace.
+    pub store_compactions: u64,
+    /// Standing queries: candidate predicates re-probed after a delta.
+    pub view_reprobed: u64,
+    /// Standing queries: candidate predicates skipped as unchanged.
+    pub view_skipped: u64,
+    /// Standing queries opened.
+    pub watches_subscribed: u64,
+    /// Watch events emitted to clients.
+    pub watch_events: u64,
+    /// Highest simultaneously-open connection count observed.
+    pub peak_connections: u64,
+    /// Requests shipped from the reactor to the handler pool — the
+    /// reactor's "wakeups that cost CPU" measure; an idle connection
+    /// contributes zero between frames.
+    pub handler_dispatches: u64,
+}
+
+impl ServerStats {
+    /// Reads the summary out of a registry snapshot. `serve.*` values are
+    /// read by name; the engine fields fold every `engine.shard{i}` tier
+    /// — executions, cache hits and misses and completed sessions summed,
+    /// `peak_pending` the maximum (peaks on different shards need not
+    /// coincide). A name the snapshot lacks reads as zero.
+    pub fn from_snapshot(snapshot: &MetricsSnapshot) -> ServerStats {
+        let serve = |name: &str| match snapshot.get(&format!("serve.{name}")) {
+            Some(MetricValue::Counter(v) | MetricValue::Gauge(v)) => *v,
+            _ => 0,
+        };
+        let mut stats = ServerStats {
+            connections: serve("connections"),
+            connections_refused: serve("connections_refused"),
+            active_connections: serve("active_connections"),
+            frames_in: serve("frames_in"),
+            frames_out: serve("frames_out"),
+            bytes_in: serve("bytes_in"),
+            bytes_out: serve("bytes_out"),
+            upload_chunks: serve("upload_chunks"),
+            traces_ingested: serve("traces_ingested"),
+            records_quarantined: serve("records_quarantined"),
+            sessions_accepted: serve("sessions_accepted"),
+            rejected_client: serve("rejected_client"),
+            rejected_engine: serve("rejected_engine"),
+            sessions_cancelled: serve("sessions_cancelled"),
+            sessions_delivered: serve("sessions_delivered"),
+            sessions_lost: serve("sessions_lost"),
+            protocol_errors: serve("protocol_errors"),
+            store_evicted: serve("store.evicted"),
+            store_compactions: serve("store.compactions"),
+            view_reprobed: serve("view.reprobed"),
+            view_skipped: serve("view.skipped"),
+            watches_subscribed: serve("watches_subscribed"),
+            watch_events: serve("watch_events"),
+            peak_connections: serve("peak_connections"),
+            handler_dispatches: serve("handler_dispatches"),
+            ..ServerStats::default()
+        };
+        for entry in &snapshot.entries {
+            let (MetricValue::Counter(v) | MetricValue::Gauge(v)) = entry.value else {
+                continue;
+            };
+            let Some((_shard, metric)) = entry
+                .name
+                .strip_prefix("engine.shard")
+                .and_then(|rest| rest.split_once('.'))
+            else {
+                continue;
+            };
+            match metric {
+                "executions" => stats.executions += v,
+                "cache.hits" => stats.cache_hits += v,
+                "cache.misses" => stats.cache_misses += v,
+                "sessions_completed" => stats.sessions_completed += v,
+                "peak_pending" => stats.peak_pending = stats.peak_pending.max(v),
+                _ => {}
+            }
         }
+        stats
+    }
+
+    /// Cache hit fraction in `[0, 1]`.
+    pub fn cache_hit_rate(&self) -> f64 {
+        let total = self.cache_hits + self.cache_misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.cache_hits as f64 / total as f64
+        }
+    }
+
+    /// All submissions refused, across scopes.
+    pub fn rejections(&self) -> u64 {
+        self.rejected_client + self.rejected_engine
     }
 }
 
@@ -349,7 +461,20 @@ impl Server {
     where
         L::Conn: EventConn,
     {
-        let metrics = Arc::new(MetricsRegistry::from_env());
+        Server::start_with_registry(listener, config, MetricsRegistry::from_env())
+    }
+
+    /// [`Server::start`] over a given registry: every tier of the server
+    /// registers its telemetry in `metrics`.
+    pub(crate) fn start_with_registry<L: Listener>(
+        listener: L,
+        config: ServeConfig,
+        metrics: MetricsRegistry,
+    ) -> ServerHandle
+    where
+        L::Conn: EventConn,
+    {
+        let metrics = Arc::new(metrics);
         let engine =
             ShardedEngine::with_metrics(config.engine, config.engine_shards, Arc::clone(&metrics));
         let shared = Arc::new(ServerShared {
@@ -404,9 +529,9 @@ pub struct ServerHandle {
 }
 
 impl ServerHandle {
-    /// A live telemetry snapshot (no client round-trip).
+    /// A live telemetry summary (no client round-trip).
     pub fn stats(&self) -> ServerStats {
-        self.shared.stats()
+        ServerStats::from_snapshot(&self.shared.metrics.snapshot())
     }
 
     /// Graceful drain: stops accepting, closes idle and streaming
@@ -418,7 +543,7 @@ impl ServerHandle {
     /// snapshot.
     pub fn shutdown(mut self) -> ServerStats {
         self.drain();
-        self.shared.stats()
+        self.stats()
     }
 
     fn drain(&mut self) {
@@ -661,9 +786,6 @@ pub(crate) fn handle_request(
             // streaming client can no longer hold shutdown open until
             // its session terminates).
             return (out, After::Stream { session });
-        }
-        Request::Stats => {
-            send(Response::StatsOk(shared.stats()));
         }
         Request::Metrics => {
             send(Response::MetricsReply(shared.metrics.snapshot()));
@@ -1050,7 +1172,125 @@ fn build_job(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{Admission, AidClient, ClientError, SubmitSpec};
+    use crate::transport::{in_proc, TcpTransport};
+    use std::io::{Read, Write};
     use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
+    fn synth(name: &str, app_seed: u64) -> SubmitSpec {
+        SubmitSpec::new(name, ProgramSpec::Synth { app_seed })
+    }
+
+    /// Runs one discovery, then reads the summary in-process and over the
+    /// wire. The wire read is exactly one `Metrics` request, which the
+    /// snapshot answering it already counts (one frame and header in, one
+    /// dispatch); its reply is counted only after the snapshot is taken.
+    fn assert_stats_views_agree<C: Read + Write>(server: &ServerHandle, client: &mut AidClient<C>) {
+        client.hello("views").unwrap();
+        let Admission::Accepted(session) = client.submit(&synth("views", 4)).unwrap() else {
+            panic!("a fresh server has room");
+        };
+        client.wait(session).unwrap();
+        let local = server.stats();
+        let remote = client.stats().unwrap();
+        assert_eq!(
+            remote,
+            ServerStats {
+                frames_in: local.frames_in + 1,
+                bytes_in: local.bytes_in + wire::HEADER_LEN as u64,
+                handler_dispatches: local.handler_dispatches + 1,
+                ..local.clone()
+            }
+        );
+        assert_eq!(local.sessions_delivered, 1);
+        assert_eq!(local.sessions_completed, 1, "engine shards folded");
+        assert!(local.cache_misses > 0, "engine shards folded: {local:?}");
+    }
+
+    /// `ServerHandle::stats` and `AidClient::stats` are one view over one
+    /// registry, over both transports — and with histograms disabled,
+    /// because counters stay live there.
+    #[test]
+    fn stats_views_agree_over_both_transports_and_registries() {
+        for registry in [MetricsRegistry::enabled, MetricsRegistry::disabled] {
+            let transport = TcpTransport::bind("127.0.0.1:0").unwrap();
+            let addr = transport.local_addr();
+            let server = Server::start_with_registry(transport, ServeConfig::default(), registry());
+            assert_stats_views_agree(&server, &mut AidClient::connect_tcp(addr).unwrap());
+            server.shutdown();
+
+            let (listener, connector) = in_proc();
+            let server = Server::start_with_registry(listener, ServeConfig::default(), registry());
+            assert_stats_views_agree(
+                &server,
+                &mut AidClient::connect_in_proc(&connector).unwrap(),
+            );
+            server.shutdown();
+        }
+    }
+
+    /// Draining while a client is mid-`Stream` ends the stream with a
+    /// typed `Draining` error instead of holding shutdown open until the
+    /// session completes. The server's only engine worker is parked on a
+    /// gate, so the streamed session is provably still pending when the
+    /// drain starts; the gate opens once the streamer has its error.
+    #[test]
+    fn drain_interrupts_streaming_clients_promptly() {
+        // Also the gate's fallback: a drain that waited for the stream
+        // fails the test after this long instead of hanging it.
+        const BOUND: Duration = Duration::from_secs(30);
+        let config = ServeConfig {
+            engine: EngineConfig {
+                workers: 1,
+                ..EngineConfig::default()
+            },
+            ..ServeConfig::default()
+        };
+        let (server, connector) = Server::start_in_proc(config);
+        // Declared after the server, so a failing assertion drops (opens)
+        // the gate before the server's drop waits out the engine.
+        let (gate_tx, gate_rx) = crossbeam::channel::unbounded::<()>();
+        server.shared.engine.pool().spawn(move || {
+            let _ = gate_rx.recv_timeout(BOUND);
+        });
+
+        let mut client = AidClient::connect_in_proc(&connector).unwrap();
+        client.hello("drained-mid-stream").unwrap();
+        let Admission::Accepted(session) = client.submit(&synth("gated", 1)).unwrap() else {
+            panic!("a fresh server has room");
+        };
+        assert_eq!(
+            client.poll(session).unwrap(),
+            SessionState::Pending,
+            "the only worker is gated, so the session cannot have run"
+        );
+
+        let streamer = std::thread::spawn(move || {
+            let outcome = client.wait(session);
+            drop(gate_tx);
+            outcome
+        });
+        // The reactor holds the stream as a continuation once its first
+        // Progress frame is out: HelloOk, Submitted, Status, Progress.
+        let deadline = Instant::now() + BOUND;
+        while server.stats().frames_out < 4 {
+            assert!(Instant::now() < deadline, "the stream never started");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        let started = Instant::now();
+        server.shutdown();
+        let drain_elapsed = started.elapsed();
+        match streamer.join().expect("streamer panicked") {
+            Err(ClientError::Server { code, message }) => {
+                assert_eq!(code, ErrorCode::Draining, "typed terminal error: {message}");
+            }
+            other => panic!("expected a terminal Draining error, got {other:?}"),
+        }
+        // Bounded: the drain ended the stream itself; only the gated
+        // session's (fast) run remained once the gate opened.
+        assert!(drain_elapsed < BOUND, "shutdown took {drain_elapsed:?}");
+    }
 
     /// The connection-cap reservation is a single CAS, not the racy
     /// load-then-increment it replaced: hammered from many threads at the

@@ -1,68 +1,34 @@
 //! Connection transports: an in-process duplex pipe for deterministic
 //! tests and a loopback/LAN TCP listener for real clients.
 //!
-//! Both sides of every transport are plain blocking [`io::Read`] +
-//! [`io::Write`] byte streams, so the frame layer ([`crate::wire`]) and
-//! everything above it is transport-agnostic. The server accepts through
-//! the [`Listener`] trait, whose `accept_timeout` lets the acceptor thread
-//! poll its shutdown flag without busy-spinning or blocking forever.
+//! Both sides of every transport are [`io::Read`] + [`io::Write`] byte
+//! streams, so the frame layer ([`crate::wire`]) and everything above it
+//! is transport-agnostic. Clients use them blocking; the server's reactor
+//! switches every accepted stream to nonblocking event mode
+//! ([`EventConn`]) and accepts through [`Listener::try_accept`], which
+//! never parks.
 
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
 use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-/// Read timeout installed on every *accepted* connection, so server
-/// handler threads wake periodically to poll the drain flag instead of
-/// blocking in a read forever when a client goes idle or silent.
-/// (Client-side connections set no timeout: a client legitimately blocks
-/// for as long as a streamed session takes.) This is the *floor*: an idle
-/// connection's timeout backs off exponentially up to
-/// [`MAX_IDLE_READ_TIMEOUT`] and snaps back on traffic, so a thousand
-/// idle connections cost ~1 wakeup/s each instead of 10.
-pub const ACCEPTED_READ_TIMEOUT: Duration = Duration::from_millis(100);
-
-/// Ceiling of the idle read-timeout backoff. Also the worst-case extra
-/// latency before an idle handler notices the drain flag — shutdown stays
-/// prompt at one second.
-pub const MAX_IDLE_READ_TIMEOUT: Duration = Duration::from_millis(1000);
-
-/// Per-connection read-deadline control, required of every accepted
-/// connection so the server can back its idle poll off exponentially.
-pub trait Deadline {
-    /// Bounds how long a read blocks; `None` blocks indefinitely.
-    fn set_read_deadline(&mut self, timeout: Option<Duration>) -> io::Result<()>;
-}
-
-impl Deadline for DuplexStream {
-    fn set_read_deadline(&mut self, timeout: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(timeout);
-        Ok(())
-    }
-}
-
-impl Deadline for std::net::TcpStream {
-    fn set_read_deadline(&mut self, timeout: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(timeout)
-    }
-}
-
 /// A source of inbound connections the server can accept from.
 pub trait Listener: Send + 'static {
     /// The byte-stream type a successful accept yields.
-    type Conn: io::Read + io::Write + Deadline + Send + 'static;
+    type Conn: io::Read + io::Write + Send + 'static;
 
-    /// Waits up to `timeout` for the next connection. `Ok(None)` means the
-    /// timeout elapsed (poll your shutdown flag and call again); `Err`
-    /// means the listener itself is dead and the accept loop should end.
-    fn accept_timeout(&self, timeout: Duration) -> io::Result<Option<Self::Conn>>;
+    /// Takes the next pending connection without waiting. `Ok(None)` means
+    /// none is pending right now; `Err` means the listener itself is dead
+    /// and the accept loop should end.
+    fn try_accept(&self) -> io::Result<Option<Self::Conn>>;
 
     /// Registers the listener with a reactor's [`ReadySignal`] and reports
     /// how inbound connections announce themselves. The default keeps
     /// third-party listeners working: `Poll` tells the reactor to call
-    /// [`Listener::accept_timeout`] with a zero timeout on every tick.
+    /// [`Listener::try_accept`] on every tick.
     fn register(&self, _signal: &Arc<ReadySignal>, _token: usize) -> Readiness {
         Readiness::Poll
     }
@@ -146,7 +112,7 @@ pub enum Readiness {
 /// The blocking `io::Read`/`io::Write` impls stay untouched — the
 /// thread-per-request client side and any code outside the reactor keep
 /// using the same streams in blocking mode.
-pub trait EventConn: io::Read + io::Write + Deadline + Send + 'static {
+pub trait EventConn: io::Read + io::Write + Send + 'static {
     /// Switches the connection to nonblocking mode: reads and writes that
     /// would park a thread fail with `ErrorKind::WouldBlock` instead.
     fn set_event_mode(&mut self) -> io::Result<()>;
@@ -197,14 +163,13 @@ impl Pipe {
 }
 
 /// One endpoint of an in-process duplex byte stream, created in pairs by
-/// [`duplex`]. Reads block until the peer writes or hangs up (or until
-/// the configured read timeout, mirroring `TcpStream::set_read_timeout`);
-/// dropping an endpoint closes both directions (the peer sees EOF on
-/// read and `BrokenPipe` on write), exactly like a socket.
+/// [`duplex`]. Reads block until the peer writes or hangs up (in event
+/// mode they fail with `WouldBlock` instead); dropping an endpoint closes
+/// both directions (the peer sees EOF on read and `BrokenPipe` on write),
+/// exactly like a socket.
 pub struct DuplexStream {
     read: Arc<Pipe>,
     write: Arc<Pipe>,
-    read_timeout: Option<Duration>,
     nonblocking: bool,
 }
 
@@ -216,25 +181,14 @@ pub fn duplex() -> (DuplexStream, DuplexStream) {
         DuplexStream {
             read: Arc::clone(&a),
             write: Arc::clone(&b),
-            read_timeout: None,
             nonblocking: false,
         },
         DuplexStream {
             read: b,
             write: a,
-            read_timeout: None,
             nonblocking: false,
         },
     )
-}
-
-impl DuplexStream {
-    /// Bounds how long a read blocks waiting for the peer; `None` (the
-    /// default) blocks indefinitely. A timed-out read fails with
-    /// `ErrorKind::TimedOut` and consumes nothing.
-    pub fn set_read_timeout(&mut self, timeout: Option<Duration>) {
-        self.read_timeout = timeout;
-    }
 }
 
 impl io::Read for DuplexStream {
@@ -253,19 +207,7 @@ impl io::Read for DuplexStream {
                     "duplex has no bytes buffered",
                 ));
             }
-            match self.read_timeout {
-                None => st = self.read.readable.wait(st).unwrap(),
-                Some(timeout) => {
-                    let (guard, result) = self.read.readable.wait_timeout(st, timeout).unwrap();
-                    st = guard;
-                    if result.timed_out() && st.buf.is_empty() && !st.closed {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            "duplex read timed out",
-                        ));
-                    }
-                }
-            }
+            st = self.read.readable.wait(st).unwrap();
         }
         let n = buf.len().min(st.buf.len());
         for slot in buf.iter_mut().take(n) {
@@ -392,14 +334,11 @@ impl InProcConnector {
 impl Listener for InProcListener {
     type Conn = DuplexStream;
 
-    fn accept_timeout(&self, timeout: Duration) -> io::Result<Option<DuplexStream>> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(mut conn) => {
-                conn.set_read_timeout(Some(ACCEPTED_READ_TIMEOUT));
-                Ok(Some(conn))
-            }
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(io::Error::new(
+    fn try_accept(&self) -> io::Result<Option<DuplexStream>> {
+        match self.rx.try_recv() {
+            Ok(conn) => Ok(Some(conn)),
+            Err(TryRecvError::Empty) => Ok(None),
+            Err(TryRecvError::Disconnected) => Err(io::Error::new(
                 io::ErrorKind::BrokenPipe,
                 "every in-process connector was dropped",
             )),
@@ -424,20 +363,21 @@ impl Listener for InProcListener {
 // ---------------------------------------------------------------------------
 // TCP transport.
 
-/// A TCP listener adapter (thread-per-connection, blocking sockets,
-/// `TCP_NODELAY` — the protocol is request/response with small frames).
+/// A TCP listener adapter for the reactor: a nonblocking listening
+/// socket whose fd joins the reactor's `poll(2)` set, and accepted streams
+/// with `TCP_NODELAY` (the protocol is request/response with small
+/// frames).
 pub struct TcpTransport {
     listener: TcpListener,
     addr: SocketAddr,
 }
 
 impl TcpTransport {
-    /// Binds to `addr` (use port 0 for an ephemeral port) and prepares the
-    /// listener for timed accepts.
+    /// Binds to `addr` (use port 0 for an ephemeral port) with a
+    /// nonblocking listening socket, so [`Listener::try_accept`] never
+    /// parks.
     pub fn bind(addr: impl ToSocketAddrs) -> io::Result<TcpTransport> {
         let listener = TcpListener::bind(addr)?;
-        // Nonblocking at the listener only: accepted streams are switched
-        // back to blocking before use.
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         Ok(TcpTransport { listener, addr })
@@ -452,27 +392,14 @@ impl TcpTransport {
 impl Listener for TcpTransport {
     type Conn = TcpStream;
 
-    fn accept_timeout(&self, timeout: Duration) -> io::Result<Option<TcpStream>> {
-        // Poll the nonblocking listener in small sleeps up to `timeout` —
-        // std has no native timed accept, and a sub-millisecond poll keeps
-        // accept latency negligible next to a discovery session.
-        let slice = Duration::from_micros(500);
-        let mut waited = Duration::ZERO;
+    fn try_accept(&self) -> io::Result<Option<TcpStream>> {
         loop {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
-                    stream.set_nonblocking(false)?;
                     stream.set_nodelay(true)?;
-                    stream.set_read_timeout(Some(ACCEPTED_READ_TIMEOUT))?;
                     return Ok(Some(stream));
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if waited >= timeout {
-                        return Ok(None);
-                    }
-                    std::thread::sleep(slice);
-                    waited += slice;
-                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
@@ -524,17 +451,11 @@ mod tests {
     }
 
     #[test]
-    fn in_proc_listener_times_out_then_accepts() {
+    fn in_proc_listener_reports_empty_then_accepts() {
         let (listener, connector) = in_proc();
-        assert!(listener
-            .accept_timeout(Duration::from_millis(1))
-            .unwrap()
-            .is_none());
+        assert!(listener.try_accept().unwrap().is_none());
         let mut client = connector.connect().unwrap();
-        let mut server = listener
-            .accept_timeout(Duration::from_millis(100))
-            .unwrap()
-            .expect("pending connection");
+        let mut server = listener.try_accept().unwrap().expect("pending connection");
         client.write_all(b"hi").unwrap();
         let mut buf = [0u8; 2];
         server.read_exact(&mut buf).unwrap();
@@ -596,7 +517,7 @@ mod tests {
 
         let _client = connector.connect().unwrap();
         assert_eq!(signal.drain_timeout(Duration::from_secs(5)), vec![0]);
-        assert!(listener.accept_timeout(Duration::ZERO).unwrap().is_some());
+        assert!(listener.try_accept().unwrap().is_some());
 
         // Backlogged connections replay on (re-)registration too.
         let (listener2, connector2) = in_proc();
@@ -619,17 +540,27 @@ mod tests {
     fn tcp_transport_accepts_loopback() {
         let transport = TcpTransport::bind("127.0.0.1:0").unwrap();
         let addr = transport.local_addr();
-        let client = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            s.write_all(b"hello").unwrap();
-        });
-        let mut conn = transport
-            .accept_timeout(Duration::from_secs(5))
-            .unwrap()
-            .expect("client connected");
+        assert!(
+            transport.try_accept().unwrap().is_none(),
+            "nothing dialed yet"
+        );
+        let mut client = TcpStream::connect(addr).unwrap();
+        client.write_all(b"hello").unwrap();
+        // `connect` returning does not promise the listener already sees
+        // the connection: wait for it, bounded, rather than assume it.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let mut conn = loop {
+            if let Some(conn) = transport.try_accept().unwrap() {
+                break conn;
+            }
+            assert!(std::time::Instant::now() < deadline, "client never queued");
+            std::thread::yield_now();
+        };
+        // The accepted stream's blocking mode is the platform default;
+        // this test reads it blocking.
+        conn.set_nonblocking(false).unwrap();
         let mut buf = [0u8; 5];
         conn.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"hello");
-        client.join().unwrap();
     }
 }

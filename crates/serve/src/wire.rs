@@ -342,7 +342,7 @@ fn is_timeout(e: &io::Error) -> bool {
 /// peer is declared stalled and the read fails. A frame in flight should
 /// deliver bytes continuously; a peer that opens a frame and then goes
 /// silent (crashed-but-connected, suspended, malicious) must not pin the
-/// reading thread forever — with the server's 100 ms read timeout this
+/// reading thread forever — with a 100 ms read timeout this
 /// bounds a stall at ~5 s. Reads that deliver bytes reset the count, so
 /// slow-but-live peers are unaffected.
 const MAX_STALL_TICKS: u32 = 50;

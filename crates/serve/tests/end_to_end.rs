@@ -10,7 +10,7 @@
 
 use aid_cases::{all_cases, analyze_case, collect_logs_sized, CaseStudy};
 use aid_core::{DiscoveryResult, Strategy};
-use aid_engine::{DiscoveryJob, Engine};
+use aid_engine::{DiscoveryJob, ShardedEngine};
 use aid_serve::{
     Admission, AidClient, AnalysisSpec, InProcConnector, ProgramSpec, ServeConfig, Server,
     SubmitSpec,
@@ -24,7 +24,7 @@ const FIRST_SEED: u64 = 1_000_000;
 
 fn direct_discovery(case: &CaseStudy, set: &aid_trace::TraceSet) -> DiscoveryResult {
     let analysis = analyze_case(case, set);
-    let engine = Engine::with_workers(2);
+    let engine = ShardedEngine::with_workers(2);
     engine
         .submit(DiscoveryJob::sim(
             format!("{}/direct", case.name),
@@ -148,7 +148,7 @@ fn served_discovery_equals_in_process_on_all_nine_lab_classes() {
         // Direct: same corpus, same analysis config, same job knobs.
         let built = aid_lab::build(&item.scenario.spec);
         let analysis = aid_core::analyze(&item.corpus, &built.config);
-        let engine = Engine::with_workers(2);
+        let engine = ShardedEngine::with_workers(2);
         let direct = engine
             .submit(DiscoveryJob::sim(
                 format!("{}/direct", item.scenario.name),

@@ -1,10 +1,9 @@
 //! The reactor's event contract, observed from outside: frames arriving
 //! one readiness event at a time — cut at every byte boundary — decode
 //! identically to frames arriving whole, and idle connections cost
-//! *zero* handler wakeups between frames (the whole point of replacing
-//! the thread-per-connection read loop).
+//! *zero* handler wakeups between frames.
 
-use aid_serve::{wire, AidClient, Request, Response, ServeConfig, Server};
+use aid_serve::{wire, AidClient, Request, Response, ServeConfig, Server, ServerStats};
 use std::io::Write;
 
 /// Every prefix/suffix split of a request frame — two readiness events
@@ -16,14 +15,14 @@ fn frames_split_at_every_byte_boundary_decode_identically() {
     let (server, connector) = Server::start_in_proc(ServeConfig::default());
     let mut conn = connector.connect().expect("connect");
 
-    let frame = Request::Stats.encode();
+    let frame = Request::Metrics.encode();
     let expect_stats = |conn: &mut _| {
         let (kind, payload) = wire::read_frame(conn, wire::DEFAULT_MAX_FRAME_LEN)
             .expect("response frame")
             .expect("connection open");
         match Response::decode_payload(kind, &payload).expect("decodable") {
-            Response::StatsOk(stats) => stats,
-            other => panic!("expected StatsOk, got {other:?}"),
+            Response::MetricsReply(snapshot) => ServerStats::from_snapshot(&snapshot),
+            other => panic!("expected MetricsReply, got {other:?}"),
         }
     };
 
@@ -32,7 +31,7 @@ fn frames_split_at_every_byte_boundary_decode_identically() {
     expect_stats(&mut conn);
 
     // Every cut point, including inside the magic, the length field, and
-    // the payload (Stats has none; Hello below has one).
+    // the payload (Metrics has none; Hello below has one).
     for cut in 1..frame.len() {
         conn.write_all(&frame[..cut]).unwrap();
         conn.write_all(&frame[cut..]).unwrap();
@@ -56,8 +55,8 @@ fn frames_split_at_every_byte_boundary_decode_identically() {
     }
 
     // Two frames fused into one write (pipelining) still answer in order.
-    let mut fused = Request::Stats.encode();
-    fused.extend_from_slice(&Request::Stats.encode());
+    let mut fused = Request::Metrics.encode();
+    fused.extend_from_slice(&Request::Metrics.encode());
     conn.write_all(&fused).unwrap();
     expect_stats(&mut conn);
     let after = expect_stats(&mut conn);

@@ -246,7 +246,7 @@ fn idle_connections_back_off_and_stay_responsive() {
     // read-timeout wakeups.
     std::thread::sleep(std::time::Duration::from_millis(450));
     let stats = client.stats().expect("the connection still answers");
-    // Exactly one dispatch per request so far (Hello, Stats): silence
+    // Exactly one dispatch per request so far (Hello, Metrics): silence
     // dispatched nothing.
     assert_eq!(
         stats.handler_dispatches, 2,

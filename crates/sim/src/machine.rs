@@ -121,7 +121,7 @@ struct Frame {
     end_delay: u64,
     /// True once the body finished and only the end-delay remains.
     in_epilogue: bool,
-    /// Deadline of an in-progress timed `Recv` at this frame's current pc.
+    /// Expiry time of an in-progress timed `Recv` at this frame's current pc.
     /// Lets the re-executed op distinguish first execution (None) from a
     /// woken retry (Some, not yet due) from a timeout (Some, due).
     recv_deadline: Option<Time>,

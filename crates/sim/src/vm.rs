@@ -179,7 +179,7 @@ struct VmFrame {
     program_locks: Vec<u32>,
     end_delay: u64,
     in_epilogue: bool,
-    /// Deadline of an in-progress timed `Recv` at this frame's current pc
+    /// Expiry time of an in-progress timed `Recv` at this frame's current pc
     /// (same state machine as the tree-walk's `Frame::recv_deadline`).
     recv_deadline: Option<Time>,
 }

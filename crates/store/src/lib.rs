@@ -201,7 +201,7 @@ impl TraceStore {
     }
 
     /// An empty store that fans columnarization and evaluation across
-    /// `pool` — typically [`aid_engine::Engine::pool`], so ingestion shares
+    /// `pool` — typically [`aid_engine::ShardedEngine::pool`], so ingestion shares
     /// threads with the discovery sessions it feeds.
     pub fn with_pool(config: StoreConfig, pool: Arc<WorkerPool>) -> TraceStore {
         let mut s = TraceStore::new(config);

@@ -5,7 +5,7 @@
 
 use aid_cases::{collect_logs_sized, npgsql};
 use aid_core::{analyze, Strategy};
-use aid_engine::{DiscoveryJob, Engine};
+use aid_engine::{DiscoveryJob, ShardedEngine};
 use aid_sim::Simulator;
 use aid_store::{StoreConfig, TraceStore};
 use aid_trace::codec;
@@ -22,7 +22,7 @@ fn snapshot_sourced_discovery_matches_traceset_sourced() {
 
     // Path B: the same corpus streamed into a store as encoded bytes,
     // with the engine's own pool fanning the ingestion work.
-    let engine = Engine::with_workers(2);
+    let engine = ShardedEngine::with_workers(2);
     let mut store = TraceStore::with_pool(
         StoreConfig {
             extraction: case.config.clone(),

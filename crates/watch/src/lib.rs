@@ -435,11 +435,11 @@ impl Watcher {
 mod tests {
     use super::*;
     use aid_cases::{all_cases, collect_logs_sized};
-    use aid_engine::Engine;
+    use aid_engine::ShardedEngine;
     use aid_store::RetentionPolicy;
     use aid_trace::{codec, Outcome};
 
-    fn case_watcher(engine: &Engine) -> (Watcher, TraceSet) {
+    fn case_watcher(engine: &ShardedEngine) -> (Watcher, TraceSet) {
         let case = &all_cases()[0];
         let set = collect_logs_sized(case, 10, 10);
         let sim = Arc::new(Simulator::new(case.program.clone()));
@@ -468,7 +468,7 @@ mod tests {
 
     #[test]
     fn first_tick_converges_and_reports_new_class() {
-        let engine = Engine::with_workers(2);
+        let engine = ShardedEngine::with_workers(2);
         let (mut watcher, set) = case_watcher(&engine);
         watcher.append_set(&set);
         let events = watcher.tick().expect("tick");
@@ -490,7 +490,7 @@ mod tests {
 
     #[test]
     fn stat_neutral_appends_skip_discovery_entirely() {
-        let engine = Engine::with_workers(2);
+        let engine = ShardedEngine::with_workers(2);
         let (mut watcher, set) = case_watcher(&engine);
         watcher.append_set(&set);
         let first = watcher.tick().expect("tick");
@@ -552,7 +552,7 @@ mod tests {
 
     #[test]
     fn streamed_tails_converge_to_one_shot_discovery() {
-        let engine = Engine::with_workers(2);
+        let engine = ShardedEngine::with_workers(2);
         let (mut watcher, set) = case_watcher(&engine);
         let encoded = codec::encode(&set);
         // Stream the corpus as byte tails, ticking mid-stream too.
@@ -589,7 +589,7 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_stops_probing() {
-        let engine = Engine::with_workers(2);
+        let engine = ShardedEngine::with_workers(2);
         let case = &all_cases()[0];
         let set = collect_logs_sized(case, 6, 6);
         let sim = Arc::new(Simulator::new(case.program.clone()));
@@ -615,7 +615,7 @@ mod tests {
 
     #[test]
     fn windowed_watcher_tracks_the_retained_tail() {
-        let engine = Engine::with_workers(2);
+        let engine = ShardedEngine::with_workers(2);
         let case = &all_cases()[0];
         let set = collect_logs_sized(case, 8, 8);
         let sim = Arc::new(Simulator::new(case.program.clone()));

@@ -78,8 +78,8 @@ pub mod prelude {
         OracleExecutor, Strategy,
     };
     pub use aid_engine::{
-        DiscoveryJob, Engine, EngineConfig, EngineHandle, EngineStats, InterventionCache,
-        JobSource, Session, SessionResult, WorkerPool,
+        DiscoveryJob, EngineConfig, EngineHandle, EngineStats, InterventionCache, JobSource,
+        Session, SessionResult, ShardedEngine, WorkerPool,
     };
     pub use aid_lab::{
         check_scenario, corpus_violations, prepare_replay, BugClass, Conformance, LabParams,
